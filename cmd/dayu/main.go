@@ -39,13 +39,6 @@
 //	    per-task attempts, failures and the virtual-time cost of
 //	    self-healing.
 //
-//	dayu bench [-quick] [-reps n] [-json] [-o BENCH_1.json]
-//	           [-validate file]
-//	    Run the overhead bench suite (h5bench + corner-case kernels,
-//	    tracer on/off; PyFLEXTRKR/DDMD/ARLDM end to end) and print a
-//	    summary or write the machine-readable BENCH_*.json record.
-//	    -validate checks an existing record against the schema instead.
-//
 //	dayu metrics -workflow <name> [-machine m] [-nodes n] [-json]
 //	    Execute a workload replica with the observability layer attached
 //	    and emit the metrics registry in Prometheus text format (default)
@@ -75,16 +68,14 @@
 //	    acknowledged as duplicates.
 //
 //	dayu watch -server http://host:8080 [-interval d] [-once] [-horizon d]
-//	           [-sse=false]
 //	    Follow a serve instance from the terminal: subscribe to the
 //	    /v1/live/events stream (one pushed event per snapshot change,
-//	    resumed with Last-Event-ID across reconnects) and print stream
-//	    progress (complete vs in-flight tasks, WAL state) plus any
-//	    anti-pattern findings as they appear. Servers without the
-//	    stream — or -sse=false — fall back to polling /healthz and
-//	    /v1/live/diagnostics every -interval. -horizon restricts
-//	    diagnostics to the trailing window (must be non-negative);
-//	    -once prints a single observation for scripts.
+//	    resumed with Last-Event-ID across reconnects after -interval)
+//	    and print stream progress (complete vs in-flight tasks, WAL
+//	    state) plus any anti-pattern findings as they appear. A server
+//	    without the stream is an error. -horizon restricts diagnostics
+//	    to the trailing window (must be non-negative); -once prints a
+//	    single observation for scripts.
 //
 //	dayu convert -traces dir -o dir [-format dtb|json]
 //	    Rewrite a trace directory in the requested serialization
@@ -106,7 +97,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -148,8 +138,6 @@ func main() {
 		err = cmdReport(os.Args[2:])
 	case "faults":
 		err = cmdFaults(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "metrics":
 		err = cmdMetrics(os.Args[2:])
 	case "serve":
@@ -174,14 +162,13 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: dayu <run|analyze|diagnose|plan|report|faults|bench|metrics|serve|push|watch|convert> [flags]
+	fmt.Fprintln(os.Stderr, `usage: dayu <run|analyze|diagnose|plan|report|faults|metrics|serve|push|watch|convert> [flags]
   run       execute a workload replica with tracing on the simulated cluster
   analyze   build FTG/SDG graphs from saved traces
   diagnose  detect I/O observations and print optimization guidelines
   plan      derive a data-locality optimization plan from traces
   report    render a Markdown optimization report from traces
   faults    execute a workload under deterministic fault injection with retry
-  bench     run the overhead bench suite; -json writes BENCH_*.json
   metrics   run a workload with the obs layer on and dump its metrics
   serve     watch a trace directory and serve cached analyses over HTTP
   push      push a trace directory to a serve instance's durable ingest
@@ -520,80 +507,6 @@ func cmdFaults(args []string) error {
 	return nil
 }
 
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	quick := fs.Bool("quick", false, "shrink volumes for a CI smoke run")
-	reps := fs.Int("reps", 3, "repetitions per timed kernel (fastest wins)")
-	asJSON := fs.Bool("json", false, "write the machine-readable BENCH record")
-	out := fs.String("o", "BENCH_1.json", "output path for -json")
-	validate := fs.String("validate", "", "validate an existing BENCH_*.json and exit")
-	fs.Parse(args)
-
-	if *validate != "" {
-		if _, err := workloads.LoadBenchJSON(*validate); err != nil {
-			return err
-		}
-		fmt.Printf("%s: valid %s record\n", *validate, workloads.BenchSchema)
-		return nil
-	}
-
-	res, err := workloads.RunBenchSuite(workloads.BenchSuiteConfig{Quick: *quick, Reps: *reps})
-	if err != nil {
-		return err
-	}
-	for _, k := range res.Kernels {
-		fmt.Printf("kernel %-12s untraced %-12s traced %-12s tracer %.2f%%  obs-disabled %.2f%%  obs-on %.2f%%\n",
-			k.Name,
-			units.Duration(time.Duration(k.UntracedNS)),
-			units.Duration(time.Duration(k.TracedNS)),
-			k.TracerOverheadPct, k.DisabledObsOverheadPct, k.InstrumentationOverheadPct)
-	}
-	if a := res.Analyzer; a != nil {
-		match := "outputs identical"
-		if !a.OutputsIdentical {
-			match = "OUTPUTS DIFFER"
-		}
-		fmt.Printf("kernel %-12s %d tasks on %d cores (parallelism %d)  serial %-12s parallel %-12s speedup %.2fx [%s]  %s\n",
-			a.Name, a.Tasks, a.Cores, a.Parallelism,
-			units.Duration(time.Duration(a.SerialNS)),
-			units.Duration(time.Duration(a.ParallelNS)), a.Speedup, a.SpeedupGate, match)
-	}
-	if c := res.Codec; c != nil {
-		match := "graphs identical"
-		if !c.BinaryEquivalent {
-			match = "GRAPHS DIFFER"
-		}
-		fmt.Printf("kernel %-12s %d traces  encode json %-12s dtb %-12s (%.2fx [%s])  decode json %-12s dtb %-12s (%.2fx)  size json %-10s dtb %-10s (%.1f%%)  %s\n",
-			c.Name, c.Tasks,
-			units.Duration(time.Duration(c.JSONEncodeNS)),
-			units.Duration(time.Duration(c.BinaryEncodeNS)), c.EncodeSpeedup, c.EncodeSpeedupGate,
-			units.Duration(time.Duration(c.JSONDecodeNS)),
-			units.Duration(time.Duration(c.BinaryDecodeNS)), c.DecodeSpeedup,
-			units.Bytes(c.JSONBytes), units.Bytes(c.BinaryBytes), 100*c.SizeRatio, match)
-		fmt.Printf("kernel %-12s alloc bytes/op  encode json %-10s dtb %-10s  decode dtb %-10s\n",
-			c.Name,
-			units.Bytes(c.JSONEncodeAllocBytesPerOp),
-			units.Bytes(c.BinaryEncodeAllocBytesPerOp),
-			units.Bytes(c.BinaryDecodeAllocBytesPerOp))
-	}
-	for _, w := range res.Workflows {
-		fmt.Printf("workflow %-12s %d stages, %d tasks  virtual %-12s wall %-12s tracer %.2f%%\n",
-			w.Name, w.Stages, w.Tasks,
-			units.Duration(time.Duration(w.VirtualNS)),
-			units.Duration(time.Duration(w.WallTracedNS)), w.TracerOverheadPct)
-	}
-	if *asJSON {
-		if err := res.Validate(); err != nil {
-			return err
-		}
-		if err := res.WriteJSON(*out); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
-	return nil
-}
-
 func cmdMetrics(args []string) error {
 	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
 	name := fs.String("workflow", "pyflextrkr", "workload replica to run")
@@ -762,15 +675,14 @@ type watchFinding struct {
 	Detail   string `json:"detail"`
 }
 
-// watchPrinter renders observations for dayu watch, deduplicating the
-// findings list by snapshot id so both transports (SSE, polling) print
-// identically.
+// watchPrinter renders observations for dayu watch, re-printing the
+// findings list only when the snapshot id changes.
 type watchPrinter struct {
 	lastSnapshot string
 }
 
-func (p *watchPrinter) print(status, snapshot string, partial, complete string, findings []watchFinding, wal *serve.WALHealth) {
-	line := fmt.Sprintf("%s %s: %s complete, %s in flight, %d findings",
+func (p *watchPrinter) print(status, snapshot string, partial, complete int, findings []watchFinding, wal *serve.WALHealth) {
+	line := fmt.Sprintf("%s %s: %d complete, %d in flight, %d findings",
 		time.Now().Format("15:04:05"), status, complete, partial, len(findings))
 	if wal != nil {
 		line += fmt.Sprintf(" | wal: %d pending, %d quarantined",
@@ -839,7 +751,7 @@ func readSSEEvent(rd *bufio.Reader) (sseEvent, error) {
 }
 
 // errSSEUnsupported marks a server without /v1/live/events (or a proxy
-// that breaks streaming); watch falls back to polling.
+// that breaks streaming); watch cannot follow it.
 var errSSEUnsupported = errors.New("server does not support /v1/live/events")
 
 // watchSSE follows the event stream until ctx ends or the connection
@@ -892,7 +804,7 @@ func watchSSE(ctx context.Context, server, query, lastID string, once bool, p *w
 			if err := getJSON(&http.Client{Timeout: 10 * time.Second}, server+"/healthz", &health); err == nil {
 				status = health.Status
 			}
-			p.print(status, we.Snapshot, strconv.Itoa(we.PartialTasks), strconv.Itoa(we.CompleteTasks), we.Findings, health.WAL)
+			p.print(status, we.Snapshot, we.PartialTasks, we.CompleteTasks, we.Findings, health.WAL)
 			if once {
 				return lastID, true, nil
 			}
@@ -903,10 +815,9 @@ func watchSSE(ctx context.Context, server, query, lastID string, once bool, p *w
 func cmdWatch(args []string) error {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	server := fs.String("server", "http://127.0.0.1:8080", "dayu serve base URL")
-	interval := fs.Duration("interval", 2*time.Second, "poll interval (and SSE reconnect delay)")
+	interval := fs.Duration("interval", 2*time.Second, "reconnect delay after the event stream drops")
 	once := fs.Bool("once", false, "print one observation and exit")
 	horizon := fs.Duration("horizon", 0, "restrict diagnostics to the trailing horizon (0 = whole run)")
-	sse := fs.Bool("sse", true, "follow /v1/live/events (server push); -sse=false forces polling")
 	fs.Parse(args)
 
 	if *horizon < 0 {
@@ -919,83 +830,30 @@ func cmdWatch(args []string) error {
 		query = "?horizon=" + horizon.String()
 	}
 
-	hc := &http.Client{Timeout: 30 * time.Second}
-	diagURL := *server + "/v1/live/diagnostics" + query
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	printer := &watchPrinter{}
-	observe := func() error {
-		var health serve.Health
-		if err := getJSON(hc, *server+"/healthz", &health); err != nil {
-			return err
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, diagURL, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := hc.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			return fmt.Errorf("%s: status %d: %s", diagURL, resp.StatusCode, string(body))
-		}
-		var findings []watchFinding
-		if err := json.NewDecoder(resp.Body).Decode(&findings); err != nil {
-			return fmt.Errorf("decode diagnostics: %w", err)
-		}
-		printer.print(health.Status, resp.Header.Get("X-Dayu-Snapshot"),
-			resp.Header.Get("X-Dayu-Partial-Tasks"), resp.Header.Get("X-Dayu-Complete-Tasks"),
-			findings, health.WAL)
-		return nil
-	}
-
-	if *sse {
-		lastID := ""
-		for {
-			id, done, err := watchSSE(ctx, *server, query, lastID, *once, printer)
-			lastID = id
-			if done {
-				return nil
-			}
-			if errors.Is(err, errSSEUnsupported) {
-				fmt.Fprintln(os.Stderr, "dayu watch: no event stream, falling back to polling")
-				break
-			}
-			if ctx.Err() != nil {
-				return nil
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dayu watch: event stream: %v (reconnecting in %s)\n", err, *interval)
-			}
-			select {
-			case <-ctx.Done():
-				return nil
-			case <-time.After(*interval):
-			}
-		}
-	}
-
-	if err := observe(); err != nil {
-		return err
-	}
-	if *once {
-		return nil
-	}
-	ticker := time.NewTicker(*interval)
-	defer ticker.Stop()
+	lastID := ""
 	for {
+		id, done, err := watchSSE(ctx, *server, query, lastID, *once, printer)
+		lastID = id
+		if done {
+			return nil
+		}
+		if errors.Is(err, errSSEUnsupported) {
+			return fmt.Errorf("watch: %s: %w", *server, err)
+		}
+		if ctx.Err() != nil {
+			return nil
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dayu watch: event stream: %v (reconnecting in %s)\n", err, *interval)
+		}
 		select {
 		case <-ctx.Done():
 			return nil
-		case <-ticker.C:
-			if err := observe(); err != nil {
-				fmt.Fprintf(os.Stderr, "dayu watch: %v\n", err)
-			}
+		case <-time.After(*interval):
 		}
 	}
 }

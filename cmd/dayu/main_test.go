@@ -27,18 +27,12 @@ func TestWatchRejectsNegativeHorizon(t *testing.T) {
 }
 
 // stubServe fakes just enough of a dayu serve instance for watch:
-// health, live diagnostics, and (optionally) the SSE event stream.
+// health and (optionally) the SSE event stream.
 func stubServe(t *testing.T, events bool) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, `{"status":"ok"}`)
-	})
-	mux.HandleFunc("/v1/live/diagnostics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("X-Dayu-Snapshot", "stub-1")
-		w.Header().Set("X-Dayu-Partial-Tasks", "0")
-		w.Header().Set("X-Dayu-Complete-Tasks", "2")
-		fmt.Fprint(w, "[]")
 	})
 	if events {
 		mux.HandleFunc("/v1/live/events", func(w http.ResponseWriter, r *http.Request) {
@@ -55,14 +49,6 @@ func stubServe(t *testing.T, events bool) *httptest.Server {
 	return srv
 }
 
-// TestWatchOncePolling drives one polled observation end to end.
-func TestWatchOncePolling(t *testing.T) {
-	srv := stubServe(t, false)
-	if err := cmdWatch([]string{"-server", srv.URL, "-once", "-sse=false"}); err != nil {
-		t.Fatalf("cmdWatch polling: %v", err)
-	}
-}
-
 // TestWatchOnceSSE consumes one pushed event (with multi-line data
 // framing) and exits.
 func TestWatchOnceSSE(t *testing.T) {
@@ -72,12 +58,13 @@ func TestWatchOnceSSE(t *testing.T) {
 	}
 }
 
-// TestWatchSSEFallback pins the downgrade path: a server without
-// /v1/live/events (404) must not fail watch, just demote it to polling.
-func TestWatchSSEFallback(t *testing.T) {
+// TestWatchWithoutEventStream pins that a server without
+// /v1/live/events (404) fails watch with an error naming the endpoint.
+func TestWatchWithoutEventStream(t *testing.T) {
 	srv := stubServe(t, false)
-	if err := cmdWatch([]string{"-server", srv.URL, "-once"}); err != nil {
-		t.Fatalf("cmdWatch fallback: %v", err)
+	err := cmdWatch([]string{"-server", srv.URL, "-once"})
+	if err == nil || !strings.Contains(err.Error(), "/v1/live/events") {
+		t.Fatalf("cmdWatch without event stream = %v, want an error naming /v1/live/events", err)
 	}
 }
 

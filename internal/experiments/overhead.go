@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"os"
+	"runtime"
+	"runtime/debug"
 	"time"
 
 	"dayu/internal/tracer"
 	"dayu/internal/units"
 	"dayu/internal/workloads"
-	"os"
 )
 
 // The Figure 9/10 overhead experiments measure the real Data Semantic
@@ -17,19 +19,55 @@ import (
 // worst-case overhead growing with object-access frequency, VOL storage
 // flat vs VFD storage linear - are the reproduction targets.
 
-// minDuration runs fn reps times and returns the fastest run.
-func minDuration(reps int, fn func() (time.Duration, error)) (time.Duration, error) {
-	var best time.Duration
-	for i := 0; i < reps; i++ {
-		d, err := fn()
+// sampleTarget and minRuns size a round: each variant runs n times per
+// round, where n is the smallest count of at least minRuns whose
+// untraced runs span sampleTarget.
+const (
+	sampleTarget = 10 * time.Millisecond
+	minRuns      = 3
+)
+
+// fastestInterleaved times every variant in reps rounds and returns each
+// one's fastest run. Within a round the variants take turns run by run,
+// rotating which goes first, so a slow stretch of the host lands on all
+// of them instead of on one variant's block of runs. n is calibrated on
+// variants[0], the untraced run.
+func fastestInterleaved(reps int, variants ...func() (time.Duration, error)) ([]time.Duration, error) {
+	n := 0
+	for span := time.Duration(0); n < minRuns || span < sampleTarget; n++ {
+		d, err := timeRun(variants[0])
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		if best == 0 || d < best {
-			best = d
+		span += d
+	}
+	best := make([]time.Duration, len(variants))
+	for r := 0; r < reps; r++ {
+		for k := 0; k < n; k++ {
+			for i := range variants {
+				v := (k + i) % len(variants)
+				d, err := timeRun(variants[v])
+				if err != nil {
+					return nil, err
+				}
+				if best[v] == 0 || d < best[v] {
+					best[v] = d
+				}
+			}
 		}
 	}
 	return best, nil
+}
+
+// timeRun runs one kernel on a freshly collected heap with the collector
+// held off until it returns. Otherwise whether a run triggers a
+// collection depends on the garbage earlier runs left behind, and on
+// these in-memory kernels a collection costs as much as the kernel: it
+// made identical runs differ by 2-3x.
+func timeRun(run func() (time.Duration, error)) (time.Duration, error) {
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return run()
 }
 
 // overheadPercent computes the tracer overhead of traced vs untraced,
@@ -41,30 +79,28 @@ func overheadPercent(untraced, traced time.Duration) float64 {
 	return 100 * float64(traced-untraced) / float64(untraced)
 }
 
+// mapperOverheads times run untraced, with VFD-only and with VOL-only
+// tracing, and returns the two overheads. run gets a nil tracer for the
+// untraced baseline.
+func mapperOverheads(reps int, vfdCfg, volCfg tracer.Config, run func(*tracer.Tracer) (time.Duration, error)) (vfdPct, volPct float64, err error) {
+	t, err := fastestInterleaved(reps,
+		func() (time.Duration, error) { return run(nil) },
+		func() (time.Duration, error) { return run(tracer.New(vfdCfg)) },
+		func() (time.Duration, error) { return run(tracer.New(volCfg)) },
+	)
+	if err != nil {
+		return 0, 0, err
+	}
+	return overheadPercent(t[0], t[1]), overheadPercent(t[0], t[2]), nil
+}
+
 // h5benchOverheads measures VFD-only and VOL-only overhead for a config.
 func h5benchOverheads(cfg workloads.H5benchConfig, reps int) (vfdPct, volPct float64, err error) {
-	base, err := minDuration(reps, func() (time.Duration, error) {
-		d, _, err := workloads.RunH5bench(cfg, nil)
-		return d, err
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	vfd, err := minDuration(reps, func() (time.Duration, error) {
-		d, _, err := workloads.RunH5bench(cfg, tracer.New(tracer.Config{DisableVOL: true}))
-		return d, err
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	vol, err := minDuration(reps, func() (time.Duration, error) {
-		d, _, err := workloads.RunH5bench(cfg, tracer.New(tracer.Config{DisableVFD: true}))
-		return d, err
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return overheadPercent(base, vfd), overheadPercent(base, vol), nil
+	return mapperOverheads(reps, tracer.Config{DisableVOL: true}, tracer.Config{DisableVFD: true},
+		func(tr *tracer.Tracer) (time.Duration, error) {
+			d, _, err := workloads.RunH5bench(cfg, tr)
+			return d, err
+		})
 }
 
 // Fig9a: h5bench overhead vs total file size.
@@ -134,29 +170,16 @@ func Fig9c(opts Options) (*Table, error) {
 		Header: []string{"dataset I/O ops", "VFD overhead %", "VOL overhead %"}}
 	for _, n := range ops {
 		cfg := workloads.CornerCaseConfig{ReadOps: n}
-		base, err := minDuration(opts.Reps, func() (time.Duration, error) {
-			d, _, err := workloads.RunCornerCase(cfg, nil)
-			return d, err
-		})
+		vfdPct, volPct, err := mapperOverheads(opts.Reps,
+			tracer.Config{DisableVOL: true, IOTrace: true}, tracer.Config{DisableVFD: true},
+			func(tr *tracer.Tracer) (time.Duration, error) {
+				d, _, err := workloads.RunCornerCase(cfg, tr)
+				return d, err
+			})
 		if err != nil {
 			return nil, err
 		}
-		vfd, err := minDuration(opts.Reps, func() (time.Duration, error) {
-			d, _, err := workloads.RunCornerCase(cfg, tracer.New(tracer.Config{DisableVOL: true, IOTrace: true}))
-			return d, err
-		})
-		if err != nil {
-			return nil, err
-		}
-		vol, err := minDuration(opts.Reps, func() (time.Duration, error) {
-			d, _, err := workloads.RunCornerCase(cfg, tracer.New(tracer.Config{DisableVFD: true}))
-			return d, err
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprint(n), fmt.Sprintf("%.2f", overheadPercent(base, vfd)),
-			fmt.Sprintf("%.2f", overheadPercent(base, vol)))
+		t.AddRow(fmt.Sprint(n), fmt.Sprintf("%.2f", vfdPct), fmt.Sprintf("%.2f", volPct))
 	}
 	t.AddNote("paper: worst-case runtime overhead grows with I/O activity within a file's open/close period, reaching ~4%% (2.97%% VFD + 1.0%% VOL)")
 	return t, nil

@@ -3,8 +3,7 @@
 // histograms with percentile estimation) plus lightweight spans that
 // bill into the simulation's virtual-time axis. The paper measures
 // everyone else's I/O (§IV, §VII-B); this package measures DaYu itself,
-// so the reproduction's overhead study and hot paths stay tracked
-// across PRs (the BENCH_*.json trajectory).
+// so the reproduction's overhead study and hot paths stay tracked.
 //
 // Design constraints:
 //

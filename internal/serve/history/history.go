@@ -149,7 +149,7 @@ func (s *Store) Append(id string, createdAt time.Time, tasks int, ftgBody, sdgBo
 	if err != nil {
 		return Manifest{}, fmt.Errorf("history: encode manifest: %w", err)
 	}
-	if err := writeFileAtomic(s.manifestPath(m.Seq), data); err != nil {
+	if err := trace.WriteFileAtomic(s.manifestPath(m.Seq), data); err != nil {
 		return Manifest{}, fmt.Errorf("history: write manifest: %w", err)
 	}
 	s.nextSeq++
@@ -168,7 +168,7 @@ func (s *Store) writeBlobLocked(hash string, body []byte) error {
 	if _, err := os.Stat(path); err == nil {
 		return nil
 	}
-	if err := writeFileAtomic(path, body); err != nil {
+	if err := trace.WriteFileAtomic(path, body); err != nil {
 		return fmt.Errorf("history: write blob: %w", err)
 	}
 	return nil
@@ -273,34 +273,4 @@ func (s *Store) compactLocked() (removedManifests, removedBlobs int, err error) 
 		removedBlobs++
 	}
 	return removedManifests, removedBlobs, nil
-}
-
-// writeFileAtomic lands data at path via a same-directory temp file
-// and rename, so concurrent readers and crashed writers never observe
-// a partial file.
-func writeFileAtomic(path string, data []byte) error {
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, "."+base+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(data); err != nil {
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		tmp = nil
-		return err
-	}
-	tmp = nil
-	return nil
 }

@@ -105,7 +105,7 @@ func (s *Server) foldCheckpoint(data []byte, task string, meta trace.RecordMeta)
 		s.deltaFolds.Inc()
 	}
 	path := filepath.Join(s.partialsDir(), trace.TraceFileName(task, trace.FormatBinary))
-	if err := writeFileAtomic(path, data); err != nil {
+	if err := trace.WriteFileAtomic(path, data); err != nil {
 		return err
 	}
 	s.partialMu.Lock()

@@ -373,7 +373,7 @@ func (s *Server) quarantineRecord(prefix string, seq uint64, data []byte) error 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(dir, fmt.Sprintf("%srec-%d.bin", prefix, seq)), data)
+	return trace.WriteFileAtomic(filepath.Join(dir, fmt.Sprintf("%srec-%d.bin", prefix, seq)), data)
 }
 
 // countQuarantined reports how many records sit in quarantine.
@@ -408,7 +408,7 @@ func (s *Server) foldBytes(data []byte) error {
 	}
 	format := trace.SniffFormat(data)
 	path := filepath.Join(s.cfg.Dir, trace.TraceFileName(tt.Task, format))
-	if err := writeFileAtomic(path, data); err != nil {
+	if err := trace.WriteFileAtomic(path, data); err != nil {
 		return err
 	}
 	// Remove a stale twin in the other serialization so the task is
@@ -424,36 +424,6 @@ func (s *Server) foldBytes(data []byte) error {
 	}
 	// The final supersedes any streamed checkpoint for this task.
 	s.retractPartial(tt.Task)
-	return nil
-}
-
-// writeFileAtomic lands data at path via a same-directory temp file
-// and rename, so concurrent readers and crashed writers never observe
-// a partial file.
-func writeFileAtomic(path string, data []byte) error {
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, "."+base+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(data); err != nil {
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		tmp = nil
-		return err
-	}
-	tmp = nil
 	return nil
 }
 

@@ -30,9 +30,8 @@ package trace
 // is encoded — first use during encoding visits strings in exactly the
 // order the old pre-walk did, so the bytes are unchanged — and the
 // header plus string table is built afterwards, giving exactly two
-// Write calls per trace. BENCH_5 measured the old two-pass,
-// alloc-per-record encoder at 0.93× JSON encode speed; this one exists
-// to win that back.
+// Write calls per trace. The old two-pass, alloc-per-record encoder
+// ran at 0.93× JSON encode speed; this one exists to win that back.
 
 import (
 	"bytes"

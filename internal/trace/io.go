@@ -148,6 +148,16 @@ func (t *TaskTrace) SaveFormat(dir string, format Format) (string, error) {
 	return path, nil
 }
 
+// WriteFileAtomic lands data at path via a same-directory temp file
+// and rename, so concurrent readers and crashed writers never observe
+// a partial file.
+func WriteFileAtomic(path string, data []byte) error {
+	return atomicWrite(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
 // atomicWrite streams write's output to a temp file next to path and
 // renames it into place, removing the temp file on any failure.
 func atomicWrite(path string, write func(io.Writer) error) error {

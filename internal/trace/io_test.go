@@ -237,6 +237,40 @@ func TestSaveAtomicNeverObservedPartial(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomic pins the helper serve and history land files
+// with: the destination holds exactly the last bytes written, and no
+// temp file survives a success or a failed rename.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "rec.bin")
+	for _, data := range [][]byte{[]byte("first"), []byte("second, longer"), {}} {
+		if err := WriteFileAtomic(path, data); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("read back %q, want %q", got, data)
+		}
+	}
+	// Renaming over a directory fails; the temp file must not linger.
+	if err := os.Mkdir(filepath.Join(dir, "taken"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(filepath.Join(dir, "taken"), []byte("x")); err == nil {
+		t.Fatal("rename over a directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Errorf("%d directory entries, want rec.bin and taken only", len(entries))
+	}
+}
+
 func TestDecodeRejectsTrailingData(t *testing.T) {
 	// Regression: Decode used json.Decoder.Decode once and ignored
 	// trailing bytes, so a concatenation of two traces (or a trace with
